@@ -254,8 +254,8 @@ func (e *Experiment) cachedWorkflowPlan(site string, n int, w workflow.Workload,
 		return plan, nil
 	}
 	// Patch the seed-dependent chunk runtimes, reproducing the DAX
-	// builder's profile round-trip ("%.3f" formatted, then parsed) so the
-	// clone is byte-identical to an uncached plan for this seed.
+	// builder's profile round-trip (formatted to 3 decimals, then parsed)
+	// so the clone is byte-identical to an uncached plan for this seed.
 	chunks, err := effectiveCost(e.Cost).ChunkSeconds(w, n)
 	if err != nil {
 		return nil, err
@@ -265,7 +265,7 @@ func (e *Experiment) cachedWorkflowPlan(site string, n int, w workflow.Workload,
 		if j == nil {
 			return nil, fmt.Errorf("core: plan cache: job %q missing from cached plan", id)
 		}
-		formatted := fmt.Sprintf("%.3f", chunks[i])
+		formatted := strconv.FormatFloat(chunks[i], 'f', 3, 64)
 		v, err := strconv.ParseFloat(formatted, 64)
 		if err != nil {
 			return nil, fmt.Errorf("core: plan cache: chunk %d runtime: %w", i, err)

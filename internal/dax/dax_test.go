@@ -3,7 +3,9 @@ package dax
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -309,4 +311,158 @@ func TestPropertyTopoSortValid(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestWorkflowMatchesReference builds fixed graphs into both the
+// index-native Workflow and the map-based reference and requires every
+// read to agree. The fan case crosses the 10^4-chunk boundary of the
+// paper's ID scheme, where sorted-ID order leaves insertion order:
+// run_cap3_10000 sorts before run_cap3_1001.
+func TestWorkflowMatchesReference(t *testing.T) {
+	type edge [2]string
+	fan := func(ids ...string) ([]string, []edge) {
+		jobs := append([]string{"split"}, ids...)
+		jobs = append(jobs, "merge")
+		var edges []edge
+		for _, id := range ids {
+			edges = append(edges, edge{"split", id}, edge{id, "merge"})
+		}
+		return jobs, edges
+	}
+	cases := []struct {
+		name  string
+		jobs  []string
+		edges []edge
+	}{
+		{"diamond", []string{"A", "B", "C", "D"}, []edge{{"A", "C"}, {"A", "B"}, {"C", "D"}, {"B", "D"}, {"A", "B"}}},
+		{"chain", []string{"c", "b", "a"}, []edge{{"c", "b"}, {"b", "a"}}},
+		{"independent", []string{"x2", "x10", "x1"}, nil},
+	}
+	jobs, edges := fan("run_cap3_0999", "run_cap3_1000", "run_cap3_1001", "run_cap3_9999", "run_cap3_10000", "run_cap3_10001")
+	cases = append(cases, struct {
+		name  string
+		jobs  []string
+		edges []edge
+	}{"fan across 10^4", jobs, edges})
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, ref := New(tc.name), newRef(tc.name)
+			for _, id := range tc.jobs {
+				j := &Job{ID: id, Transformation: "t"}
+				if err := w.AddJob(j); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.AddJob(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, e := range tc.edges {
+				if err := w.AddDependency(e[0], e[1]); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.AddDependency(e[0], e[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			assertSameGraph(t, w, ref)
+			assertSameGraph(t, w.Clone(), ref)
+		})
+	}
+
+	w := New("fan")
+	for _, id := range jobs {
+		w.NewJob(id, "t")
+	}
+	for _, e := range edges {
+		if err := w.AddDependency(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"run_cap3_0999", "run_cap3_1000", "run_cap3_10000", "run_cap3_10001", "run_cap3_1001", "run_cap3_9999"}
+	if got := w.Children("split"); !reflect.DeepEqual(got, want) {
+		t.Errorf("Children(split) = %v, want sorted-ID order %v", got, want)
+	}
+}
+
+// TestCopyEdges checks the position-mapped edge copy: a permuted copy
+// keeps sorted-ID order, dropped jobs take their edges with them, and a
+// map that renames jobs still yields normalised lists.
+func TestCopyEdges(t *testing.T) {
+	src := diamond(t)
+	dst := New("perm")
+	// Insert in reverse: src position i lands at 3-i.
+	for i := src.Len() - 1; i >= 0; i-- {
+		dst.NewJob(src.JobAt(int32(i)).ID, "t")
+	}
+	dst.CopyEdges(src, []int32{3, 2, 1, 0})
+	for _, id := range []string{"A", "B", "C", "D"} {
+		if !reflect.DeepEqual(dst.Parents(id), src.Parents(id)) || !reflect.DeepEqual(dst.Children(id), src.Children(id)) {
+			t.Errorf("%s: parents %v children %v, want %v %v", id,
+				dst.Parents(id), dst.Children(id), src.Parents(id), src.Children(id))
+		}
+	}
+	if dst.Edges() != 4 {
+		t.Errorf("Edges = %d, want 4", dst.Edges())
+	}
+
+	sub := New("sub")
+	sub.NewJob("A", "t")
+	sub.NewJob("C", "t")
+	sub.NewJob("D", "t")
+	sub.CopyEdges(src, []int32{0, -1, 1, 2})
+	if sub.Edges() != 2 || !reflect.DeepEqual(sub.Parents("D"), []string{"C"}) {
+		t.Errorf("induced copy: edges %d, Parents(D) = %v", sub.Edges(), sub.Parents("D"))
+	}
+
+	// Renamed so that sorted-ID order flips B and C, and copied twice.
+	renamed := New("renamed")
+	for _, id := range []string{"A", "Z", "C", "D"} {
+		renamed.NewJob(id, "t")
+	}
+	renamed.CopyEdges(src, nil)
+	renamed.CopyEdges(src, nil)
+	if got := renamed.Children("A"); !reflect.DeepEqual(got, []string{"C", "Z"}) || renamed.Edges() != 4 {
+		t.Errorf("renamed copy: Children(A) = %v, edges %d", got, renamed.Edges())
+	}
+}
+
+// TestConcurrentReaders pins the sharing contract: once a read has
+// normalised a workflow, every read — Clone included, as the plan cache
+// does — writes nothing, so readers on many goroutines do not race (run
+// under -race).
+func TestConcurrentReaders(t *testing.T) {
+	w := New("shared")
+	w.NewJob("split", "t")
+	w.NewJob("merge", "t")
+	for _, i := range []int{2, 10, 1, 100, 20} {
+		id := fmt.Sprintf("chunk%d", i)
+		w.NewJob(id, "t")
+		if err := w.AddDependency("split", id); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AddDependency(id, "merge"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := w.Clone()
+			if _, err := w.TopoSort(); err != nil {
+				t.Error(err)
+			}
+			if got, want := w.Children("split"), c.Children("split"); !reflect.DeepEqual(got, want) {
+				t.Errorf("clone children %v, original %v", want, got)
+			}
+			_ = w.Edges()
+			_, _ = w.Levels()
+		}()
+	}
+	wg.Wait()
 }

@@ -90,14 +90,14 @@ func (w *Workflow) WriteXML(out io.Writer) error {
 		}
 		doc.Jobs = append(doc.Jobs, xj)
 	}
-	for _, id := range w.order {
-		ps := w.Parents(id)
+	for i, j := range w.jobs {
+		ps := w.ParentsAt(int32(i))
 		if len(ps) == 0 {
 			continue
 		}
-		c := xmlChild{Ref: id}
-		for _, p := range ps {
-			c.Parents = append(c.Parents, xmlParent{Ref: p})
+		c := xmlChild{Ref: j.ID, Parents: make([]xmlParent, len(ps))}
+		for k, p := range ps {
+			c.Parents[k] = xmlParent{Ref: w.jobs[p].ID}
 		}
 		doc.Childs = append(doc.Childs, c)
 	}

@@ -282,7 +282,7 @@ func Run(plan *planner.Plan, ex Executor, opts Options) (*Result, error) {
 		if ev.Time > res.Makespan {
 			res.Makespan = ev.Time
 		}
-		pos, ok := idx.ByID[ev.JobID]
+		pos, ok := idx.Pos(ev.JobID)
 		if !ok {
 			return nil, fmt.Errorf("engine: executor reported unknown job %q", ev.JobID)
 		}

@@ -22,28 +22,22 @@ func RescueDAX(plan *planner.Plan, res *Result) (*dax.Workflow, error) {
 	for _, id := range res.Unfinished {
 		unfinished[id] = true
 	}
-	out := dax.New(plan.Graph.Name + "-rescue")
-	for _, j := range plan.Graph.Jobs() {
+	g := plan.Graph
+	out := dax.New(g.Name + "-rescue")
+	to := make([]int32, g.Len())
+	for i := range int32(g.Len()) {
+		j := g.JobAt(i)
 		if !unfinished[j.ID] {
+			to[i] = -1
 			continue
 		}
+		to[i] = int32(out.Len())
 		cp := *j
 		if err := out.AddJob(&cp); err != nil {
 			return nil, err
 		}
 	}
-	for _, j := range plan.Graph.Jobs() {
-		if !unfinished[j.ID] {
-			continue
-		}
-		for _, p := range plan.Graph.Parents(j.ID) {
-			if unfinished[p] {
-				if err := out.AddDependency(p, j.ID); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
+	out.CopyEdges(g, to)
 	return out, nil
 }
 

@@ -59,7 +59,7 @@ type clusterBucket struct {
 	id    string
 	site  string
 	tr    string
-	ids   []string
+	ids   []int32
 	exec  float64
 	level int
 }
@@ -97,33 +97,32 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 		return false
 	}
 
-	levels, err := p.Graph.Levels()
+	g := p.Graph
+	levels, err := g.LevelPositions()
 	if err != nil {
 		return nil, fmt.Errorf("planner: clustering: %w", err)
 	}
 
-	// group maps every original job ID to its output job ID (itself when
-	// unclustered, the composite ID otherwise).
-	group := make(map[string]string, p.Graph.Len())
+	// group maps every original job position to its bucket (-1 when
+	// unclustered).
+	group := unset(g.Len())
 	var buckets []*clusterBucket
-	byID := make(map[string]*clusterBucket)
 
 	for li, level := range levels {
 		// Open at most one bucket per (site, transformation) key; close it
 		// when full (member cap) or heavy enough (runtime target).
 		open := make(map[string]*clusterBucket)
 		seq := make(map[string]int)
-		for _, id := range level {
+		for _, i := range level {
+			id := g.JobAt(i).ID
 			j := p.Info[id]
 			if j == nil {
 				return nil, fmt.Errorf("planner: clustering: job %q has no planning info", id)
 			}
 			if !eligible(j) {
-				group[id] = id
 				continue
 			}
 			if opts.TargetJobSeconds > 0 && j.ExecSeconds >= opts.TargetJobSeconds {
-				group[id] = id
 				continue
 			}
 			key := j.Site + "\x00" + j.Transformation
@@ -137,11 +136,9 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 				seq[key]++
 				open[key] = b
 				buckets = append(buckets, b)
-				byID[b.id] = b
 			}
-			b.ids = append(b.ids, id)
+			b.ids = append(b.ids, i)
 			b.exec += j.ExecSeconds
-			group[id] = b.id
 			if (opts.MaxTasksPerJob > 0 && len(b.ids) >= opts.MaxTasksPerJob) ||
 				(opts.TargetJobSeconds > 0 && b.exec >= opts.TargetJobSeconds) {
 				delete(open, key)
@@ -153,30 +150,36 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 	kept := buckets[:0]
 	for _, b := range buckets {
 		if len(b.ids) == 1 {
-			group[b.ids[0]] = b.ids[0]
-			delete(byID, b.id)
 			continue
+		}
+		for _, i := range b.ids {
+			group[i] = int32(len(kept))
 		}
 		kept = append(kept, b)
 	}
 	buckets = kept
 
 	out := &Plan{
-		Graph:     dax.New(p.Graph.Name + "-clustered"),
-		Info:      make(map[string]*Job, p.Graph.Len()),
+		Graph:     dax.New(g.Name + "-clustered"),
+		Info:      make(map[string]*Job, g.Len()),
 		Site:      p.Site,
 		Sites:     append([]string(nil), p.Sites...),
 		SiteEntry: p.SiteEntry,
 	}
 
-	emitted := make(map[string]bool)
-	for _, gj := range p.Graph.Jobs() {
-		gid := group[gj.ID]
-		if emitted[gid] {
+	// Emit each job, or each composite at its first member; to maps
+	// original positions to output positions.
+	to := make([]int32, g.Len())
+	bucketPos := unset(len(buckets))
+	for i := range int32(g.Len()) {
+		gj := g.JobAt(i)
+		bi := group[i]
+		if bi >= 0 && bucketPos[bi] >= 0 {
+			to[i] = bucketPos[bi]
 			continue
 		}
-		emitted[gid] = true
-		if gid == gj.ID {
+		to[i] = int32(out.Graph.Len())
+		if bi < 0 {
 			cp := *gj
 			icp := *p.Info[gj.ID]
 			if err := out.Graph.AddJob(&cp); err != nil {
@@ -185,8 +188,9 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 			out.Info[gj.ID] = &icp
 			continue
 		}
-		b := byID[gid]
-		if p.Graph.Job(b.id) != nil {
+		bucketPos[bi] = to[i]
+		b := buckets[bi]
+		if g.Job(b.id) != nil {
 			return nil, fmt.Errorf("planner: clustering: composite ID %q collides with an existing job", b.id)
 		}
 		nj := &dax.Job{ID: b.id, Transformation: b.tr}
@@ -196,9 +200,10 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 			Site:           b.site,
 			ExecSeconds:    b.exec,
 		}
-		for _, mid := range b.ids {
+		for _, mi := range b.ids {
+			mid := g.JobAt(mi).ID
 			m := p.Info[mid]
-			nj.Uses = append(nj.Uses, p.Graph.Job(mid).Uses...)
+			nj.Uses = append(nj.Uses, g.JobAt(mi).Uses...)
 			if m.Priority > cj.Priority {
 				cj.Priority = m.Priority
 			}
@@ -219,19 +224,18 @@ func Cluster(p *Plan, opts ClusterOptions) (*Plan, error) {
 		out.Info[b.id] = cj
 	}
 
-	// Rewire dependencies through the grouping, skipping intra-group
-	// edges. Same-level grouping makes intra-group edges impossible; an
-	// occurrence means the level computation is broken, so fail loudly
-	// rather than emit a plan that silently dropped an ordering constraint.
-	for _, gj := range p.Graph.Jobs() {
-		for _, parent := range p.Graph.Parents(gj.ID) {
-			gp, gc := group[parent], group[gj.ID]
-			if gp == gc {
+	// Rewire dependencies through the grouping. Same-level grouping makes
+	// intra-group edges impossible; an occurrence means the level
+	// computation is broken, so fail loudly rather than emit a plan that
+	// silently dropped an ordering constraint.
+	for c := range int32(g.Len()) {
+		for _, pp := range g.ParentsAt(c) {
+			if to[pp] == to[c] {
 				return nil, fmt.Errorf(
 					"planner: clustering folded dependent jobs %q -> %q into composite %q",
-					parent, gj.ID, gp)
+					g.JobAt(pp).ID, g.JobAt(c).ID, out.Graph.JobAt(to[c]).ID)
 			}
-			if err := out.Graph.AddDependency(gp, gc); err != nil {
+			if err := out.Graph.Link(to[pp], to[c]); err != nil {
 				return nil, err
 			}
 		}

@@ -13,6 +13,8 @@ package planner
 
 import (
 	"fmt"
+
+	"pegflow/internal/dax"
 )
 
 // Index is the dense-integer view of a plan's DAG. Positions follow the
@@ -25,26 +27,35 @@ type Index struct {
 	// Order holds the job IDs in topological order; Order[i] is the job at
 	// position i.
 	Order []string
-	// ByID maps a job ID to its position.
-	ByID map[string]int32
 	// Children lists, per position, the positions of the job's children in
 	// sorted-ID order.
 	Children [][]int32
 	// Indegree is the number of parents per position.
 	Indegree []int32
-	// edges snapshots Graph.Edges() at build time for staleness detection.
-	edges int
+	// graph is the workflow the index was built from; rank maps its
+	// positions (insertion order) to index positions. Workflows only grow
+	// and never move a job, so both stay valid for the jobs indexed.
+	graph *dax.Workflow
+	rank  []int32
+}
+
+// Pos returns the index position of the job with the given ID.
+func (x *Index) Pos(id string) (int32, bool) {
+	i, ok := x.graph.Pos(id)
+	if !ok || int(i) >= len(x.rank) {
+		return 0, false
+	}
+	return x.rank[i], true
 }
 
 // Indexed returns the plan's dense index, building it on first use and
-// rebuilding it if the graph was mutated since (dax workflows only ever
-// grow, so a changed job or edge count is a complete staleness signal).
-// It returns an error when the graph is cyclic. Plans produced by New,
-// NewMulti and Cluster are indexed at construction; hand-assembled plans
-// are indexed lazily here and must not be shared across goroutines before
-// the first call.
+// rebuilding it if the graph was replaced or mutated since (detected by
+// the graph's mutation counter). It returns an error when the graph is
+// cyclic. Plans produced by New, NewMulti and Cluster are indexed at
+// construction; hand-assembled plans are indexed lazily here and must not
+// be shared across goroutines before the first call.
 func (p *Plan) Indexed() (*Index, error) {
-	if p.index == nil || len(p.index.Order) != p.Graph.Len() || p.index.edges != p.Graph.Edges() {
+	if !p.indexFresh() {
 		if err := p.finalize(); err != nil {
 			return nil, err
 		}
@@ -52,39 +63,50 @@ func (p *Plan) Indexed() (*Index, error) {
 	return p.index, nil
 }
 
+// indexFresh reports whether the index reflects the current graph.
+func (p *Plan) indexFresh() bool {
+	return p.index != nil && p.indexedGraph == p.Graph && p.indexedVersion == p.Graph.Version()
+}
+
 // JobAt returns the planned job at topological position i of the index.
 func (p *Plan) JobAt(i int32) *Job { return p.jobsByPos[i] }
 
-// finalize validates the executable graph (cycle check via TopoSort) and
-// builds the dense index plus the position-aligned job table.
+// finalize validates the executable graph (cycle check via the
+// topological sort) and builds the dense index straight from the graph's
+// adjacency, plus the position-aligned job table.
 func (p *Plan) finalize() error {
-	order, err := p.Graph.TopoSort()
+	g := p.Graph
+	order, err := g.TopoPositions()
 	if err != nil {
 		return fmt.Errorf("planner: executable workflow broken: %w", err)
 	}
+	n := len(order)
 	idx := &Index{
-		Order:    order,
-		ByID:     make(map[string]int32, len(order)),
-		Children: make([][]int32, len(order)),
-		Indegree: make([]int32, len(order)),
-		edges:    p.Graph.Edges(),
+		Order:    make([]string, n),
+		Children: make([][]int32, n),
+		Indegree: make([]int32, n),
+		graph:    g,
+		rank:     make([]int32, n),
 	}
-	for i, id := range order {
-		idx.ByID[id] = int32(i)
+	for k, i := range order {
+		idx.rank[i] = int32(k)
 	}
-	for i, id := range order {
-		idx.Indegree[i] = int32(len(p.Graph.Parents(id)))
-		kids := p.Graph.Children(id)
+	flat := make([]int32, g.Edges())
+	for k, i := range order {
+		idx.Order[k] = g.JobAt(i).ID
+		idx.Indegree[k] = int32(len(g.ParentsAt(i)))
+		kids := g.ChildrenAt(i)
 		if len(kids) == 0 {
 			continue
 		}
-		cs := make([]int32, len(kids))
-		for k, c := range kids {
-			cs[k] = idx.ByID[c]
+		cs := flat[:len(kids):len(kids)]
+		flat = flat[len(kids):]
+		for m, c := range kids {
+			cs[m] = idx.rank[c]
 		}
-		idx.Children[i] = cs
+		idx.Children[k] = cs
 	}
-	p.index = idx
+	p.index, p.indexedGraph, p.indexedVersion = idx, g, g.Version()
 	return p.reindexJobs()
 }
 
@@ -114,12 +136,14 @@ func (p *Plan) Clone() *Plan {
 		Site:      p.Site,
 		Sites:     append([]string(nil), p.Sites...),
 		SiteEntry: p.SiteEntry,
-		index:     p.index,
 	}
 	for id, j := range p.Info {
 		out.Info[id] = j.clone()
 	}
-	if out.index != nil {
+	if p.indexFresh() {
+		// The cloned graph carries the original's mutation count, so the
+		// shared index is fresh for it too.
+		out.index, out.indexedGraph, out.indexedVersion = p.index, out.Graph, out.Graph.Version()
 		if err := out.reindexJobs(); err != nil {
 			// Info and index came from a consistent plan; a mismatch here
 			// is a programming error, not an input error.

@@ -48,7 +48,8 @@ type Candidate struct {
 type SitePolicy interface {
 	// Name identifies the policy ("round-robin", "data-aware", ...).
 	Name() string
-	// Choose picks the candidate for the job.
+	// Choose picks the candidate for the job. cands is shared between
+	// jobs of one transformation and must not be modified.
 	Choose(job PolicyJob, cands []Candidate) int
 }
 
@@ -226,28 +227,39 @@ func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, 
 
 	plan := &Plan{
 		Graph: dax.New(work.Name + "-multi"),
-		Info:  make(map[string]*Job),
+		Info:  make(map[string]*Job, work.Len()),
 		Site:  strings.Join(opts.Sites, ","),
 		Sites: append([]string(nil), opts.Sites...),
 	}
 
 	// Choose sites in topological order so load-based policies see jobs
 	// roughly in execution order; the order is deterministic (Kahn's
-	// algorithm with insertion-order tie-breaking).
-	order, err := work.TopoSort()
+	// algorithm with insertion-order tie-breaking). Jobs enter the plan
+	// graph in that order: to maps work positions to plan positions.
+	order, err := work.TopoPositions()
 	if err != nil {
 		return nil, fmt.Errorf("planner: %w", err)
 	}
-	for _, id := range order {
-		aj := work.Job(id)
-		pj, err := jobAttributes(aj)
-		if err != nil {
+	to := make([]int32, len(order))
+	plan.Graph.Grow(len(order) + len(sites))
+	gjobs := make([]dax.Job, len(order))
+	pjobs := make([]Job, len(order))
+	candsByTr := make(map[string][]Candidate)
+	for k, i := range order {
+		to[i] = int32(k)
+		aj := work.JobAt(i)
+		pj := &pjobs[k]
+		if err := jobAttributes(pj, aj); err != nil {
 			return nil, err
 		}
 
 		// Candidate sites: those where the transformation resolves and
 		// is either preinstalled or installable (no shared stack).
-		cands := siteCandidates(cats, sites, aj.Transformation)
+		cands, ok := candsByTr[aj.Transformation]
+		if !ok {
+			cands = siteCandidates(cats, sites, aj.Transformation)
+			candsByTr[aj.Transformation] = cands
+		}
 		if len(cands) == 0 {
 			return nil, fmt.Errorf(
 				"planner: job %q: transformation %q resolves at none of the target sites %v",
@@ -271,22 +283,17 @@ func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, 
 			pj.InstallBytes = chosen.Entry.InstallBytes
 		}
 
-		gj := &dax.Job{ID: aj.ID, Transformation: aj.Transformation, Uses: aj.Uses, Priority: aj.Priority}
+		gj := &gjobs[k]
+		*gj = dax.Job{ID: aj.ID, Transformation: aj.Transformation, Uses: aj.Uses, Priority: aj.Priority}
 		if err := plan.Graph.AddJob(gj); err != nil {
 			return nil, err
 		}
 		plan.Info[aj.ID] = pj
 	}
-	for _, aj := range work.Jobs() {
-		for _, parent := range work.Parents(aj.ID) {
-			if err := plan.Graph.AddDependency(parent, aj.ID); err != nil {
-				return nil, err
-			}
-		}
-	}
+	plan.Graph.CopyEdges(work, to)
 
 	if opts.AddStageIn {
-		if err := addStageInMulti(plan, work, cats); err != nil {
+		if err := addStageInMulti(plan, work, to, cats); err != nil {
 			return nil, err
 		}
 	}
@@ -300,82 +307,36 @@ func NewMulti(abstract *dax.Workflow, cats Catalogs, opts MultiOptions) (*Plan, 
 // addStageInMulti synthesizes one stage-in job per site that consumes
 // external inputs, transferring every external input consumed at that site
 // and feeding its consumers there. External inputs must have a registered
-// replica.
-func addStageInMulti(plan *Plan, work *dax.Workflow, cats Catalogs) error {
-	produced := make(map[string]bool)
-	for _, j := range work.Jobs() {
-		for _, lfn := range j.Outputs() {
-			produced[lfn] = true
-		}
+// replica. to maps work positions to plan positions.
+func addStageInMulti(plan *Plan, work *dax.Workflow, to []int32, cats Catalogs) error {
+	// Buckets are the plan's sites in name order, the order stage-in jobs
+	// are added in.
+	names := append([]string(nil), plan.Sites...)
+	sort.Strings(names)
+	bucket := make(map[string]int, len(names))
+	for k, name := range names {
+		bucket[name] = k
 	}
-	type ext struct {
-		lfn  string
-		size int64
+	externals, consumers, err := externalInputs(work, cats, len(names), func(i int32) int {
+		return bucket[plan.Info[work.JobAt(i).ID].Site]
+	})
+	if err != nil {
+		return err
 	}
-	// Per site: the external inputs staged there and their consumers.
-	externals := make(map[string][]ext)
-	consumers := make(map[string][]string) // site → consumer job IDs
-	seen := make(map[string]map[string]bool)
-	for _, j := range work.Jobs() {
-		site := plan.Info[j.ID].Site
-		for _, u := range j.Uses {
-			if u.Link != dax.LinkInput || produced[u.LFN] {
-				continue
-			}
-			if !cats.Replicas.Has(u.LFN) {
-				return fmt.Errorf("planner: external input %q of job %q has no replica", u.LFN, j.ID)
-			}
-			consumers[site] = append(consumers[site], j.ID)
-			if seen[site] == nil {
-				seen[site] = make(map[string]bool)
-			}
-			if !seen[site][u.LFN] {
-				seen[site][u.LFN] = true
-				externals[site] = append(externals[site], ext{u.LFN, u.Size})
-			}
-		}
-	}
-	siteNames := make([]string, 0, len(externals))
-	for s := range externals {
-		siteNames = append(siteNames, s)
-	}
-	sort.Strings(siteNames)
-	for _, site := range siteNames {
-		exts := externals[site]
-		sort.Slice(exts, func(i, j int) bool { return exts[i].lfn < exts[j].lfn })
-		id := "stage_in_" + site
-		gj := &dax.Job{ID: id, Transformation: StageInTransformation}
-		var totalBytes int64
-		for _, e := range exts {
-			gj.Uses = append(gj.Uses, dax.Use{LFN: e.lfn, Link: dax.LinkOutput, Size: e.size})
-			totalBytes += e.size
-		}
-		if err := plan.Graph.AddJob(gj); err != nil {
-			return err
+	for k, site := range names {
+		if len(externals[k]) == 0 {
+			continue
 		}
 		entry, err := cats.Sites.Lookup(site)
 		if err != nil {
 			return err
 		}
-		plan.Info[id] = &Job{
-			ID:             id,
-			Transformation: StageInTransformation,
-			Site:           site,
-			ExecSeconds:    float64(totalBytes) / (stageInMBps(entry) * 1e6),
-			OutputBytes:    totalBytes,
-			// Stage-in never needs installs and gets top priority so
-			// transfers start immediately.
-			Priority: 1 << 20,
+		cons := consumers[k]
+		for c, i := range cons {
+			cons[c] = to[i]
 		}
-		added := make(map[string]bool)
-		for _, c := range consumers[site] {
-			if added[c] {
-				continue
-			}
-			added[c] = true
-			if err := plan.Graph.AddDependency(id, c); err != nil {
-				return err
-			}
+		if err := addStageJob(plan, "stage_in_"+site, entry, externals[k], cons); err != nil {
+			return err
 		}
 	}
 	return nil

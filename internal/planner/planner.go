@@ -73,8 +73,11 @@ type Plan struct {
 	SiteEntry *catalog.Site
 
 	// index is the immutable dense-integer topology (see Indexed), built
-	// at plan construction and shared with clones.
-	index *Index
+	// at plan construction and shared with clones; indexedGraph and
+	// indexedVersion record the graph state it was built for.
+	index          *Index
+	indexedGraph   *dax.Workflow
+	indexedVersion uint64
 	// jobsByPos aligns this plan's *Job values with index.Order.
 	jobsByPos []*Job
 }
@@ -150,20 +153,25 @@ func New(abstract *dax.Workflow, cats Catalogs, opts Options) (*Plan, error) {
 
 	plan := &Plan{
 		Graph:     dax.New(work.Name + "-" + opts.Site),
-		Info:      make(map[string]*Job),
+		Info:      make(map[string]*Job, work.Len()),
 		Site:      opts.Site,
 		SiteEntry: site,
 	}
 
 	// Resolve each job against the transformation catalog and compute
-	// its planning attributes.
-	for _, aj := range work.Jobs() {
+	// its planning attributes. Jobs keep their positions, so the edges
+	// copy over as they are.
+	plan.Graph.Grow(work.Len() + 1)
+	gjobs := make([]dax.Job, work.Len())
+	pjobs := make([]Job, work.Len())
+	for i := range int32(work.Len()) {
+		aj := work.JobAt(i)
 		tc, err := cats.Transformations.Lookup(aj.Transformation, opts.Site)
 		if err != nil {
 			return nil, fmt.Errorf("planner: job %q: %w", aj.ID, err)
 		}
-		pj, err := jobAttributes(aj)
-		if err != nil {
+		pj := &pjobs[i]
+		if err := jobAttributes(pj, aj); err != nil {
 			return nil, err
 		}
 		pj.Site = opts.Site
@@ -176,19 +184,14 @@ func New(abstract *dax.Workflow, cats Catalogs, opts Options) (*Plan, error) {
 			pj.NeedsInstall = true
 			pj.InstallBytes = tc.InstallBytes
 		}
-		gj := &dax.Job{ID: aj.ID, Transformation: aj.Transformation, Uses: aj.Uses, Priority: aj.Priority}
+		gj := &gjobs[i]
+		*gj = dax.Job{ID: aj.ID, Transformation: aj.Transformation, Uses: aj.Uses, Priority: aj.Priority}
 		if err := plan.Graph.AddJob(gj); err != nil {
 			return nil, err
 		}
 		plan.Info[aj.ID] = pj
 	}
-	for _, aj := range work.Jobs() {
-		for _, parent := range work.Parents(aj.ID) {
-			if err := plan.Graph.AddDependency(parent, aj.ID); err != nil {
-				return nil, err
-			}
-		}
-	}
+	plan.Graph.CopyEdges(work, nil)
 
 	if opts.AddStageIn {
 		if err := addStageIn(plan, work, cats); err != nil {
@@ -202,13 +205,12 @@ func New(abstract *dax.Workflow, cats Catalogs, opts Options) (*Plan, error) {
 	return plan, nil
 }
 
-// jobAttributes converts an abstract job into a planned job with its
-// site-independent attributes: the pegasus::runtime estimate, the folded
-// task list of clustered jobs, and the declared input/output byte totals.
-// The caller fills in the site-dependent fields (Site, NeedsInstall,
-// InstallBytes).
-func jobAttributes(aj *dax.Job) (*Job, error) {
-	pj := &Job{
+// jobAttributes fills pj with the abstract job's site-independent planning
+// attributes: the pegasus::runtime estimate, the folded task list of
+// clustered jobs, and the declared input/output byte totals. The caller
+// fills in the site-dependent fields (Site, NeedsInstall, InstallBytes).
+func jobAttributes(pj *Job, aj *dax.Job) error {
+	*pj = Job{
 		ID:             aj.ID,
 		Transformation: aj.Transformation,
 		Args:           aj.Args,
@@ -217,19 +219,19 @@ func jobAttributes(aj *dax.Job) (*Job, error) {
 	if rt := aj.Profile("pegasus", "runtime"); rt != "" {
 		v, err := strconv.ParseFloat(rt, 64)
 		if err != nil || v < 0 {
-			return nil, fmt.Errorf("planner: job %q: bad pegasus::runtime %q", aj.ID, rt)
+			return fmt.Errorf("planner: job %q: bad pegasus::runtime %q", aj.ID, rt)
 		}
 		pj.ExecSeconds = v
 	}
 	if nt := aj.Profile("pegasus", "clustered_tasks"); nt != "" {
 		count, err := strconv.Atoi(nt)
 		if err != nil || count < 1 {
-			return nil, fmt.Errorf("planner: job %q: bad clustered_tasks %q", aj.ID, nt)
+			return fmt.Errorf("planner: job %q: bad clustered_tasks %q", aj.ID, nt)
 		}
 		for i := 0; i < count; i++ {
 			tid := aj.Profile("pegasus", fmt.Sprintf("task_%03d", i))
 			if tid == "" {
-				return nil, fmt.Errorf("planner: job %q: missing task_%03d profile", aj.ID, i)
+				return fmt.Errorf("planner: job %q: missing task_%03d profile", aj.ID, i)
 			}
 			pj.Tasks = append(pj.Tasks, tid)
 		}
@@ -241,77 +243,109 @@ func jobAttributes(aj *dax.Job) (*Job, error) {
 			pj.OutputBytes += u.Size
 		}
 	}
-	return pj, nil
+	return nil
 }
 
 // addStageIn synthesizes a single stage_in job transferring every external
 // input (a file consumed but produced by no job) to the site, and makes it
 // a parent of all consumers. External inputs must have a registered
-// replica.
+// replica. The plan graph's first work.Len() positions hold work's jobs.
 func addStageIn(plan *Plan, work *dax.Workflow, cats Catalogs) error {
-	produced := make(map[string]bool)
-	for _, j := range work.Jobs() {
-		for _, lfn := range j.Outputs() {
-			produced[lfn] = true
+	externals, consumers, err := externalInputs(work, cats, 1, func(int32) int { return 0 })
+	if err != nil || len(externals[0]) == 0 {
+		return err
+	}
+	return addStageJob(plan, "stage_in_0", plan.SiteEntry, externals[0], consumers[0])
+}
+
+// external is one external input file staged to a site.
+type external struct {
+	lfn  string
+	size int64
+}
+
+// externalInputs finds the external inputs of work — files consumed but
+// produced by no job — grouped into nbuckets by the bucket of each
+// consumer: per bucket, the distinct files sorted by name (sized as first
+// declared), and the work positions of the jobs consuming any of them.
+// Every external input must have a registered replica.
+func externalInputs(work *dax.Workflow, cats Catalogs, nbuckets int, bucket func(pos int32) int) ([][]external, [][]int32, error) {
+	outputs := 0
+	for i := range int32(work.Len()) {
+		for _, u := range work.JobAt(i).Uses {
+			if u.Link == dax.LinkOutput {
+				outputs++
+			}
 		}
 	}
-	type ext struct {
-		lfn  string
-		size int64
+	produced := make(map[string]bool, outputs)
+	for i := range int32(work.Len()) {
+		for _, u := range work.JobAt(i).Uses {
+			if u.Link == dax.LinkOutput {
+				produced[u.LFN] = true
+			}
+		}
 	}
-	var externals []ext
-	consumers := make(map[string][]string)
-	seen := make(map[string]bool)
-	for _, j := range work.Jobs() {
+	type staged struct {
+		bucket int
+		lfn    string
+	}
+	seen := make(map[staged]bool)
+	externals := make([][]external, nbuckets)
+	consumers := make([][]int32, nbuckets)
+	for i := range int32(work.Len()) {
+		j := work.JobAt(i)
+		b := bucket(i)
+		consumes := false
 		for _, u := range j.Uses {
 			if u.Link != dax.LinkInput || produced[u.LFN] {
 				continue
 			}
 			if !cats.Replicas.Has(u.LFN) {
-				return fmt.Errorf("planner: external input %q of job %q has no replica", u.LFN, j.ID)
+				return nil, nil, fmt.Errorf("planner: external input %q of job %q has no replica", u.LFN, j.ID)
 			}
-			consumers[u.LFN] = append(consumers[u.LFN], j.ID)
-			if !seen[u.LFN] {
-				seen[u.LFN] = true
-				externals = append(externals, ext{u.LFN, u.Size})
+			consumes = true
+			if key := (staged{b, u.LFN}); !seen[key] {
+				seen[key] = true
+				externals[b] = append(externals[b], external{u.LFN, u.Size})
 			}
 		}
+		if consumes {
+			consumers[b] = append(consumers[b], i)
+		}
 	}
-	if len(externals) == 0 {
-		return nil
+	for _, exts := range externals {
+		sort.Slice(exts, func(i, j int) bool { return exts[i].lfn < exts[j].lfn })
 	}
-	sort.Slice(externals, func(i, j int) bool { return externals[i].lfn < externals[j].lfn })
+	return externals, consumers, nil
+}
 
-	id := "stage_in_0"
+// addStageJob adds a stage_in job with the given ID on site, producing the
+// external files and feeding the consumer positions. It runs on the
+// submit side: it never needs installs and gets top priority so transfers
+// start immediately.
+func addStageJob(plan *Plan, id string, site *catalog.Site, exts []external, consumers []int32) error {
 	gj := &dax.Job{ID: id, Transformation: StageInTransformation}
 	var totalBytes int64
-	for _, e := range externals {
+	for _, e := range exts {
 		gj.Uses = append(gj.Uses, dax.Use{LFN: e.lfn, Link: dax.LinkOutput, Size: e.size})
 		totalBytes += e.size
 	}
+	stage := int32(plan.Graph.Len())
 	if err := plan.Graph.AddJob(gj); err != nil {
 		return err
 	}
 	plan.Info[id] = &Job{
 		ID:             id,
 		Transformation: StageInTransformation,
-		Site:           plan.Site,
-		ExecSeconds:    float64(totalBytes) / (stageInMBps(plan.SiteEntry) * 1e6),
+		Site:           site.Name,
+		ExecSeconds:    float64(totalBytes) / (stageInMBps(site) * 1e6),
 		OutputBytes:    totalBytes,
-		// Stage-in runs on the submit side; it never needs installs
-		// and gets top priority so transfers start immediately.
-		Priority: 1 << 20,
+		Priority:       1 << 20,
 	}
-	added := make(map[string]bool)
-	for _, e := range externals {
-		for _, c := range consumers[e.lfn] {
-			if added[c] {
-				continue
-			}
-			added[c] = true
-			if err := plan.Graph.AddDependency(id, c); err != nil {
-				return err
-			}
+	for _, c := range consumers {
+		if err := plan.Graph.Link(stage, c); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -338,86 +372,77 @@ func clusterTasks(abstract *dax.Workflow, opts Options) (*dax.Workflow, error) {
 		return false
 	}
 
-	levels, err := abstract.Levels()
+	levels, err := abstract.LevelPositions()
 	if err != nil {
 		return nil, err
 	}
-	// group[jobID] = clustered ID (or its own ID when unclustered).
-	group := make(map[string]string, abstract.Len())
+	// group[i] indexes the bucket of abstract job i; -1 leaves it
+	// unclustered.
+	group := unset(abstract.Len())
 	type bucket struct {
 		id    string
-		tasks []string
+		tasks []int32
 	}
 	var buckets []bucket
 	for li, level := range levels {
-		byTr := make(map[string][]string)
+		byTr := make(map[string][]int32)
 		var trOrder []string
-		for _, id := range level {
-			tr := abstract.Job(id).Transformation
+		for _, i := range level {
+			tr := abstract.JobAt(i).Transformation
 			if !eligible(tr) || opts.ClusterSize <= 1 {
-				group[id] = id
 				continue
 			}
 			if _, ok := byTr[tr]; !ok {
 				trOrder = append(trOrder, tr)
 			}
-			byTr[tr] = append(byTr[tr], id)
+			byTr[tr] = append(byTr[tr], i)
 		}
 		for _, tr := range trOrder {
 			ids := byTr[tr]
-			if len(ids) == 1 {
-				group[ids[0]] = ids[0]
-				continue
-			}
 			for i := 0; i < len(ids); i += opts.ClusterSize {
-				end := i + opts.ClusterSize
-				if end > len(ids) {
-					end = len(ids)
-				}
-				chunk := ids[i:end]
+				chunk := ids[i:min(i+opts.ClusterSize, len(ids))]
 				if len(chunk) == 1 {
-					group[chunk[0]] = chunk[0]
 					continue
 				}
-				cid := fmt.Sprintf("cluster_%s_l%d_%d", tr, li, i/opts.ClusterSize)
 				for _, id := range chunk {
-					group[id] = cid
+					group[id] = int32(len(buckets))
 				}
+				cid := fmt.Sprintf("cluster_%s_l%d_%d", tr, li, i/opts.ClusterSize)
 				buckets = append(buckets, bucket{id: cid, tasks: chunk})
 			}
 		}
 	}
 
-	clustered := make(map[string]bucket)
-	for _, b := range buckets {
-		clustered[b.id] = b
-	}
-
+	// Emit each job, or each bucket at its first task; to maps abstract
+	// positions to output positions.
 	out := dax.New(abstract.Name)
-	emitted := make(map[string]bool)
-	for _, aj := range abstract.Jobs() {
-		gid := group[aj.ID]
-		if emitted[gid] {
+	to := make([]int32, abstract.Len())
+	bucketPos := unset(len(buckets))
+	for i := range int32(abstract.Len()) {
+		aj := abstract.JobAt(i)
+		b := group[i]
+		if b >= 0 && bucketPos[b] >= 0 {
+			to[i] = bucketPos[b]
 			continue
 		}
-		emitted[gid] = true
-		if gid == aj.ID {
+		to[i] = int32(out.Len())
+		if b < 0 {
 			cp := *aj
 			if err := out.AddJob(&cp); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		b := clustered[gid]
-		nj := &dax.Job{ID: gid, Transformation: aj.Transformation}
+		bucketPos[b] = to[i]
+		nj := &dax.Job{ID: buckets[b].id, Transformation: aj.Transformation}
 		var runtime float64
-		for _, tid := range b.tasks {
-			task := abstract.Job(tid)
+		for _, t := range buckets[b].tasks {
+			task := abstract.JobAt(t)
 			nj.Uses = append(nj.Uses, task.Uses...)
 			if rt := task.Profile("pegasus", "runtime"); rt != "" {
 				v, err := strconv.ParseFloat(rt, 64)
 				if err != nil {
-					return nil, fmt.Errorf("planner: task %q: bad runtime %q", tid, rt)
+					return nil, fmt.Errorf("planner: task %q: bad runtime %q", task.ID, rt)
 				}
 				runtime += v
 			}
@@ -428,31 +453,35 @@ func clusterTasks(abstract *dax.Workflow, opts Options) (*dax.Workflow, error) {
 		if runtime > 0 {
 			nj.SetProfile("pegasus", "runtime", strconv.FormatFloat(runtime, 'f', -1, 64))
 		}
-		nj.SetProfile("pegasus", "clustered_tasks", strconv.Itoa(len(b.tasks)))
+		nj.SetProfile("pegasus", "clustered_tasks", strconv.Itoa(len(buckets[b].tasks)))
+		// Stash task membership in profiles so New can recover it without
+		// a side channel between the two passes.
+		for k, t := range buckets[b].tasks {
+			nj.SetProfile("pegasus", fmt.Sprintf("task_%03d", k), abstract.JobAt(t).ID)
+		}
 		if err := out.AddJob(nj); err != nil {
 			return nil, err
 		}
 	}
-	// Rewire dependencies through the grouping map, skipping intra-group
+	// Rewire dependencies through the grouping, skipping intra-group
 	// edges.
-	for _, aj := range abstract.Jobs() {
-		for _, p := range abstract.Parents(aj.ID) {
-			gp, gc := group[p], group[aj.ID]
-			if gp == gc {
-				continue
+	for c := range int32(abstract.Len()) {
+		for _, p := range abstract.ParentsAt(c) {
+			if to[p] != to[c] {
+				if err := out.Link(to[p], to[c]); err != nil {
+					return nil, err
+				}
 			}
-			if err := out.AddDependency(gp, gc); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Stash task membership in profiles so New can recover it without a
-	// side channel between the two passes.
-	for _, b := range buckets {
-		j := out.Job(b.id)
-		for i, tid := range b.tasks {
-			j.SetProfile("pegasus", fmt.Sprintf("task_%03d", i), tid)
 		}
 	}
 	return out, nil
+}
+
+// unset returns n positions, all -1.
+func unset(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = -1
+	}
+	return out
 }

@@ -512,6 +512,11 @@ func (d *Doc) validateSiteSets(ef func(path, format string, args ...any), siteNa
 	return anyMulti, allMulti
 }
 
+// MaxChunks bounds a document's chunk counts: the largest n the
+// million-job path is tested at. A cell's plan is O(n), so without a cap
+// one request could allocate past the host's memory.
+const MaxChunks = 1_000_000
+
 func (d *Doc) validateWorkload(ef func(path, format string, args ...any)) {
 	w := &d.Workload
 	switch {
@@ -541,8 +546,11 @@ func (d *Doc) validateWorkload(ef func(path, format string, args ...any)) {
 		ef("workload.n", "at least one chunk count is required")
 	}
 	for i, n := range w.N {
-		if n <= 0 {
+		switch {
+		case n <= 0:
 			ef(fmt.Sprintf("workload.n[%d]", i), "must be positive, got %d", n)
+		case n > MaxChunks:
+			ef(fmt.Sprintf("workload.n[%d]", i), "must be at most %d, got %d", MaxChunks, n)
 		}
 	}
 }

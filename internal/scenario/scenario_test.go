@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -139,6 +140,17 @@ func TestParseErrorsAreLineAndFieldQualified(t *testing.T) {
   "workload": {"preset": "paper", "n": [10]}
 }`,
 			want: []string{"bad.json:4", "slots"},
+		},
+		{
+			name: "chunk count above the cap",
+			src: `{
+  "version": 1,
+  "name": "bad",
+  "sites": [{"preset": "osg"}],
+  "workload": {"preset": "paper",
+               "n": [1000000, 1000000000]}
+}`,
+			want: []string{"bad.json:6", "workload.n[1]: must be at most 1000000, got 1000000000"},
 		},
 		{
 			name: "multiple errors reported together",
@@ -307,5 +319,21 @@ func TestValidationErrorOrderIsDeterministic(t *testing.T) {
 		if err == nil || err.Error() != first {
 			t.Fatalf("run %d: error text changed:\n%s\nvs\n%s", run, err, first)
 		}
+	}
+}
+
+// TestChunkCountCapBoundary pins the cap itself: n = MaxChunks parses,
+// one more is refused with a field-qualified error.
+func TestChunkCountCapBoundary(t *testing.T) {
+	doc := func(n int) string {
+		return fmt.Sprintf(`{"version": 1, "name": "cap", "sites": [{"preset": "osg"}],
+  "workload": {"preset": "paper", "n": [%d]}}`, n)
+	}
+	if _, err := Parse("cap.json", []byte(doc(MaxChunks))); err != nil {
+		t.Fatalf("n = %d refused: %v", MaxChunks, err)
+	}
+	_, err := Parse("cap.json", []byte(doc(MaxChunks+1)))
+	if err == nil || !strings.Contains(err.Error(), "workload.n[0]: must be at most 1000000, got 1000001") {
+		t.Fatalf("n = %d: error %v", MaxChunks+1, err)
 	}
 }

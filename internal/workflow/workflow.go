@@ -3,6 +3,7 @@ package workflow
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 
 	"pegflow/internal/catalog"
@@ -281,7 +282,21 @@ type BuilderConfig struct {
 // ChunkJobID returns the executable job ID of the i-th (0-based) run_cap3
 // chunk of an n-way split — the naming contract shared by the DAX builder
 // and the plan cache's per-seed runtime patching (internal/core).
-func ChunkJobID(i int) string { return fmt.Sprintf("run_cap3_%04d", i+1) }
+func ChunkJobID(i int) string { return numbered("run_cap3_", i+1, 4, "") }
+
+// numbered returns prefix, then k ≥ 0 in decimal zero-padded to width
+// digits, then suffix — fmt's "%0*d" without its boxing and parsing.
+func numbered(prefix string, k, width int, suffix string) string {
+	var buf [48]byte
+	b := append(buf[:0], prefix...)
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(k), 10)
+	for pad := width - len(d); pad > 0; pad-- {
+		b = append(b, '0')
+	}
+	b = append(append(b, d...), suffix...)
+	return string(b)
+}
 
 // BuildDAX constructs the abstract blast2cap3 workflow for n chunks.
 func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
@@ -299,7 +314,7 @@ func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 
 	setRuntime := func(j *dax.Job, seconds float64) {
 		if simulated {
-			j.SetProfile("pegasus", "runtime", fmt.Sprintf("%.3f", seconds))
+			j.SetProfile("pegasus", "runtime", strconv.FormatFloat(seconds, 'f', 3, 64))
 		}
 	}
 
@@ -315,8 +330,9 @@ func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 	la.Args = []string{"alignments.out", "alignments_list.txt"}
 	setRuntime(la, cost.scanSeconds(w.AlignmentBytes))
 
-	sp := wf.NewJob("split", TrSplit).
-		AddInput("alignments.out", w.AlignmentBytes).
+	sp := wf.NewJob("split", TrSplit)
+	sp.Uses = make([]dax.Use, 0, 2+cfg.N)
+	sp.AddInput("alignments.out", w.AlignmentBytes).
 		AddInput("alignments_list.txt", w.AlignmentBytes/16)
 	sp.Args = []string{"-n", fmt.Sprint(cfg.N), "alignments.out"}
 	setRuntime(sp, cost.scanSeconds(w.AlignmentBytes)+cost.SplitPerChunk*float64(cfg.N))
@@ -333,37 +349,52 @@ func BuildDAX(cfg BuilderConfig) (*dax.Workflow, error) {
 		}
 	}
 
-	chunkBytes := int64(0)
-	if cfg.N > 0 {
-		chunkBytes = w.AlignmentBytes / int64(cfg.N)
-	}
+	// The chunk jobs, their usages and arguments come from one array
+	// each, and edges are linked by position: chunk i sits at first+i.
+	splitPos, _ := wf.Pos("split")
+	listPos, _ := wf.Pos("create_list_transcripts")
+	first := int32(wf.Len())
+	wf.Grow(cfg.N + 2)
+	jobs := make([]dax.Job, cfg.N)
+	uses := make([]dax.Use, 3*cfg.N)
+	args := make([]string, 3*cfg.N)
+	joined := make([]string, cfg.N)
+	chunkBytes := w.AlignmentBytes / int64(cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		proteinLFN := fmt.Sprintf("protein_%d.txt", i+1)
-		joinedLFN := fmt.Sprintf("joined_%d.fasta", i+1)
+		proteinLFN := numbered("protein_", i+1, 0, ".txt")
+		joined[i] = numbered("joined_", i+1, 0, ".fasta")
 		sp.AddOutput(proteinLFN, chunkBytes)
-		id := ChunkJobID(i)
-		rc := wf.NewJob(id, TrRunCAP3).
-			AddInput("transcripts_dict.txt", w.TranscriptBytes/8).
+		rc := &jobs[i]
+		rc.ID, rc.Transformation = ChunkJobID(i), TrRunCAP3
+		rc.Uses = uses[3*i : 3*i : 3*i+3]
+		rc.AddInput("transcripts_dict.txt", w.TranscriptBytes/8).
 			AddInput(proteinLFN, chunkBytes).
-			AddOutput(joinedLFN, chunkBytes/2)
-		rc.Args = []string{"transcripts_dict.txt", proteinLFN, joinedLFN}
+			AddOutput(joined[i], chunkBytes/2)
+		rc.Args = append(args[3*i:3*i:3*i+3], "transcripts_dict.txt", proteinLFN, joined[i])
 		if simulated {
 			setRuntime(rc, chunks[i])
 		}
-		if err := wf.AddDependency("split", id); err != nil {
+		if err := wf.AddJob(rc); err != nil {
 			return nil, err
 		}
-		if err := wf.AddDependency("create_list_transcripts", id); err != nil {
+		pos := first + int32(i)
+		if err := wf.Link(splitPos, pos); err != nil {
+			return nil, err
+		}
+		if err := wf.Link(listPos, pos); err != nil {
 			return nil, err
 		}
 	}
 
-	mg := wf.NewJob("merge", TrMerge).AddOutput("joined_all.fasta", w.TranscriptBytes/4)
+	mergePos := int32(wf.Len())
+	mg := wf.NewJob("merge", TrMerge)
+	mg.Uses = make([]dax.Use, 0, cfg.N+1)
+	mg.AddOutput("joined_all.fasta", w.TranscriptBytes/4)
 	mg.Args = []string{"-n", fmt.Sprint(cfg.N), "joined_all.fasta"}
 	setRuntime(mg, cost.TaskBase+cost.MergePerFile*float64(cfg.N))
 	for i := 0; i < cfg.N; i++ {
-		mg.AddInput(fmt.Sprintf("joined_%d.fasta", i+1), chunkBytes/2)
-		if err := wf.AddDependency(ChunkJobID(i), "merge"); err != nil {
+		mg.AddInput(joined[i], chunkBytes/2)
+		if err := wf.Link(first+int32(i), mergePos); err != nil {
 			return nil, err
 		}
 	}
@@ -400,7 +431,7 @@ func BuildSerialDAX(w Workload, cost CostModel) (*dax.Workflow, error) {
 		AddOutput("final_assembly.fasta", w.TranscriptBytes/2)
 	j.Args = []string{"transcripts.fasta", "alignments.out"}
 	if len(w.Clusters) > 0 {
-		j.SetProfile("pegasus", "runtime", fmt.Sprintf("%.3f", cost.SerialSeconds(w)))
+		j.SetProfile("pegasus", "runtime", strconv.FormatFloat(cost.SerialSeconds(w), 'f', 3, 64))
 	}
 	if err := wf.Validate(); err != nil {
 		return nil, err
